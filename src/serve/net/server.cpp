@@ -733,13 +733,18 @@ void RbcServer::update_epoll(Connection& conn) {
 void RbcServer::close_conn(std::uint64_t conn_id, bool timed_out) {
   auto it = conns_.find(conn_id);
   if (it == conns_.end()) return;
-  epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, it->second->fd, nullptr);
-  close(it->second->fd);
+  const int fd = it->second->fd;
   conns_.erase(it);
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  stats_.connections_closed += 1;
-  if (timed_out) stats_.timeouts += 1;
-  stats_.connections_open = conns_.size();
+  // Count the close before close(fd) sends the FIN: a peer that wakes on
+  // it and reads stats() must already see this connection closed.
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    stats_.connections_closed += 1;
+    if (timed_out) stats_.timeouts += 1;
+    stats_.connections_open = conns_.size();
+  }
+  epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+  close(fd);
 }
 
 void RbcServer::sweep_timeouts() {

@@ -83,6 +83,16 @@ struct ServerOptions {
 
 /// Aggregate server counters (wire-level; the query-level counters live in
 /// the SearchService's ServiceStats).
+///
+/// Ordering: a counter for an event the peer can observe is recorded before
+/// the peer can observe it, so a client that has seen the event and then
+/// reads stats() finds it counted. This holds for connection closes and
+/// timeouts (counted before close() sends the FIN), protocol errors and
+/// deadline sheds (counted before their error frame is queued), reloads
+/// (counted before the reload response is queued) and frames_out (counted
+/// before the frame is handed to send()). bytes_out is the exception: it
+/// counts what send() has accepted, after each send() returns, so it may
+/// trail bytes the peer has already read.
 struct NetServerStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_closed = 0;
@@ -135,7 +145,9 @@ class RbcServer {
   /// callable from any (non-signal) context.
   void stop();
 
-  /// Wire-level counter snapshot. Thread-safe, callable any time.
+  /// Wire-level counter snapshot. Thread-safe, callable any time. Events the
+  /// peer has already observed are counted (see NetServerStats for the
+  /// ordering and its one exception, bytes_out).
   NetServerStats stats() const;
 
   /// The current service snapshot (swaps on reload). Never null.

@@ -4,6 +4,7 @@
 #include <istream>
 #include <mutex>
 #include <ostream>
+#include <shared_mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -425,7 +426,8 @@ index_t ShardedIndex::remove(std::span<const index_t> ids) {
 void ShardedIndex::compact() {
   if (!mutable_mode_) return Index::compact();  // uniform error
   // Shared lock: compaction changes no live set and no routing, only each
-  // shard's internal layout — searches keep running alongside it.
+  // shard's internal layout — searches keep running alongside it (until a
+  // writer queues: it waits for the compaction, and new searches behind it).
   std::shared_lock lock(mutex_);
   if (!built_) fail("compact on an unbuilt index (call build first)");
   for (const Shard& shard : shards_) shard.index->compact();

@@ -39,7 +39,6 @@
 
 #include <iosfwd>
 #include <memory>
-#include <shared_mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -47,6 +46,7 @@
 #include <vector>
 
 #include "api/index.hpp"
+#include "common/writer_priority_mutex.hpp"
 
 namespace rbc::shard {
 
@@ -147,7 +147,9 @@ class ShardedIndex final : public Index {
   /// entry points are live and the dense ones are rejected.
   bool payload_ = false;
 
-  mutable std::shared_mutex mutex_;  // guards everything below
+  // Guards everything below. Searches hold it shared for the whole fan-out,
+  // so it must let a waiting insert()/remove() in ahead of new searches.
+  mutable WriterPriorityMutex mutex_;
   std::vector<Shard> shards_;  // id-native: all num_shards; legacy: non-empty
   /// id-native mode only: which shard owns each live id (insert routing,
   /// remove dispatch, duplicate-id detection).
