@@ -7,8 +7,10 @@
 #include <cerrno>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <ostream>
+#include <streambuf>
 #include <system_error>
+#include <vector>
 
 #include "api/registry.hpp"
 
@@ -29,42 +31,97 @@ std::string parent_dir(const std::string& path) {
   return path.substr(0, slash);
 }
 
+/// Output stream buffer over a file descriptor: Index::save streams the
+/// file through a fixed 1 MiB buffer instead of assembling it in memory.
+/// Writes at least a buffer long skip the copy. A failed write(2) leaves
+/// its errno in error() and fails the stream (badbit).
+class FdWriteBuf final : public std::streambuf {
+ public:
+  explicit FdWriteBuf(int fd) : fd_(fd), buffer_(std::size_t{1} << 20) {
+    setp(buffer_.data(), buffer_.data() + buffer_.size());
+  }
+
+  int error() const { return error_; }
+
+ protected:
+  int_type overflow(int_type ch) override {
+    if (!drain()) return traits_type::eof();
+    if (!traits_type::eq_int_type(ch, traits_type::eof())) {
+      *pptr() = traits_type::to_char_type(ch);
+      pbump(1);
+    }
+    return traits_type::not_eof(ch);
+  }
+
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    if (n < static_cast<std::streamsize>(buffer_.size()))
+      return std::streambuf::xsputn(s, n);
+    if (!drain() || !write_all(s, static_cast<std::size_t>(n))) return 0;
+    return n;
+  }
+
+  int sync() override { return drain() ? 0 : -1; }
+
+ private:
+  bool drain() {
+    const bool ok =
+        write_all(pbase(), static_cast<std::size_t>(pptr() - pbase()));
+    setp(buffer_.data(), buffer_.data() + buffer_.size());
+    return ok;
+  }
+
+  bool write_all(const char* data, std::size_t size) {
+    while (size > 0) {
+      const ssize_t n = write(fd_, data, size);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        error_ = errno;
+        return false;
+      }
+      data += n;
+      size -= static_cast<std::size_t>(n);
+    }
+    return true;
+  }
+
+  int fd_;
+  std::vector<char> buffer_;
+  int error_ = 0;
+};
+
 }  // namespace
 
 void save_index(const Index& index, const std::string& path) {
-  // Serialize to memory first: a backend that throws mid-save (or one that
-  // does not support save at all) must not leave a partial tmp file behind,
-  // and the write below becomes one straight byte run.
-  std::ostringstream buffer(std::ios::binary);
-  index.save(buffer);
-  const std::string bytes = buffer.str();
-
   const std::string tmp = path + ".tmp";
   const int fd = open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
                       0644);
   if (fd < 0) fail("cannot create", tmp);
-  auto abort_tmp = [&](const char* what) {
-    const int saved = errno;
+  auto abort_tmp = [&](const char* what, int error) {
     close(fd);
     unlink(tmp.c_str());
-    errno = saved;
+    errno = error;
     fail(what, tmp);
   };
 
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      abort_tmp("write to");
-    }
-    off += static_cast<std::size_t>(n);
+  // Stream straight into the tmp file. A backend that throws mid-save (or
+  // one that does not support save at all) leaves a partial tmp file, which
+  // is removed before the exception propagates; `path` is never touched.
+  FdWriteBuf buffer(fd);
+  std::ostream os(&buffer);
+  try {
+    index.save(os);
+  } catch (...) {
+    close(fd);
+    unlink(tmp.c_str());
+    throw;
   }
+  if (!os.flush())
+    abort_tmp("write to", buffer.error() != 0 ? buffer.error() : EIO);
   // The data must be on disk *before* the rename publishes the name: a
   // crash between rename and a later flush would otherwise leave `path`
   // pointing at garbage — the exact corruption this helper exists to
   // prevent.
-  if (fsync(fd) < 0) abort_tmp("fsync");
+  if (fsync(fd) < 0) abort_tmp("fsync", errno);
   if (close(fd) < 0) {
     const int saved = errno;
     unlink(tmp.c_str());

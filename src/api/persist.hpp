@@ -6,8 +6,12 @@
 // `path`, destroying the previous good index. save_index() closes that
 // hole with the standard atomic-replace protocol:
 //
-//   serialize to memory -> write <path>.tmp -> fsync(tmp) -> close
+//   stream Index::save into <path>.tmp -> fsync(tmp) -> close
 //     -> rename(tmp, path) -> fsync(parent dir)
+//
+// The save streams through a fixed-size buffer rather than assembling the
+// file in memory first, so saving adds no file-sized allocation to the
+// process peak. A save that throws part-way unlinks the partial tmp file.
 //
 // rename(2) is atomic on POSIX filesystems, so `path` only ever holds
 // either the complete old index or the complete new one — never a torn

@@ -81,7 +81,10 @@ class Matrix {
   /// multi-GB copies; cloning is explicit).
   Matrix clone() const {
     Matrix out(rows_, cols_);
-    std::memcpy(out.data(), data(), sizeof(T) * data_.size());
+    // An empty matrix has no buffer, and memcpy's pointers must be non-null
+    // even for a zero-byte copy.
+    if (!data_.empty())
+      std::memcpy(out.data(), data(), sizeof(T) * data_.size());
     return out;
   }
 

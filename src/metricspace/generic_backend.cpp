@@ -191,7 +191,7 @@ class GenericIndex final : public Index {
     io::write_pod(os, io::kFormatVersionPayload);
     io::write_string(os, host_);
     io::write_string(os, metric_);
-    io::write_pod(os, params_);
+    io::write_params(os, params_);
     data_->save(os);
   }
 
@@ -272,7 +272,7 @@ std::unique_ptr<Index> load_payload_index(std::istream& is) {
         metric + "')");
   IndexOptions options;
   options.metric = metric;
-  io::read_pod(is, options.rbc);
+  options.rbc = io::read_params(is, "payload params");
   const DatasetHandle data = load_dataset(is);
   auto index = std::make_unique<GenericIndex>(algo, options);
   try {

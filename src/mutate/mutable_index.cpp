@@ -74,11 +74,10 @@ BackendEntry wrap(BackendEntry raw) {
     return std::make_unique<MutableIndex>(name, options, create, magic);
   };
   if (magic != 0 && raw_load) {
-    // Version-dispatching loader: version-3 (and its storage-tagged
-    // version-5 extension) streams carry mutable state; everything else
-    // (v1/v2/v4 files written by the raw formats, or streams too short to
-    // even peek) goes to the raw backend's loader, which owns the legacy
-    // formats and their error messages.
+    // Version-dispatching loader: versions 3, 5 and 7 carry mutable state;
+    // everything else (v1/v2/v4 files written by the raw formats, or
+    // streams too short to even peek) goes to the raw backend's loader,
+    // which owns the legacy formats and their error messages.
     wrapped.load = [name, create, magic,
                     raw_load](std::istream& is) -> std::unique_ptr<Index> {
       const std::istream::pos_type start = is.tellg();
@@ -89,10 +88,12 @@ BackendEntry wrap(BackendEntry raw) {
       const bool mutable_stream =
           is.good() && m == magic &&
           (version == io::kFormatVersionMutable ||
-           version == io::kFormatVersionMutableStorage);
+           version == io::kFormatVersionMutableStorage ||
+           version == io::kFormatVersionMutableInner);
       is.clear();
       is.seekg(start);
-      if (mutable_stream) return MutableIndex::load(is, name, create, magic);
+      if (mutable_stream)
+        return MutableIndex::load(is, name, create, raw_load, magic);
       return raw_load(is);
     };
   }
@@ -674,17 +675,11 @@ void MutableIndex::save(std::ostream& os) const {
   if (!built) fail(name_, "save on an unbuilt index (call build first)");
 
   io::write_pod(os, magic_);
-  // float32 keeps the version-3 byte layout; compressed builds write the
-  // version-5 header (v3 plus the storage tag) so a reload re-quantizes the
-  // rebuilt inner structure the same way.
-  const bool storage_tagged = options_.storage != "float32";
-  io::write_pod(os, storage_tagged ? io::kFormatVersionMutableStorage
-                                   : io::kFormatVersionMutable);
+  io::write_pod(os, io::kFormatVersionMutableInner);
   io::write_string(os, options_.metric);
-  if (storage_tagged) io::write_string(os, options_.storage);
-  // Build knobs: everything needed to rebuild the raw structure
-  // deterministically at load time (fields written individually — the
-  // params struct has padding).
+  io::write_string(os, options_.storage);
+  // Build knobs (fields written individually — the params struct has
+  // padding): a merge after reload rebuilds the raw structure with them.
   const RbcParams& p = options_.rbc;
   io::write_pod(os, p.num_reps);
   io::write_pod(os, p.points_per_rep);
@@ -698,6 +693,8 @@ void MutableIndex::save(std::ostream& os) const {
   io::write_pod(os, p.num_probes);
   io::write_pod(os, options_.leaf_size);
   io::write_pod(os, options_.seed);
+  io::write_pod(os, options_.max_delta);
+  io::write_pod(os, static_cast<std::uint8_t>(options_.background_merge));
   io::write_pod(os, dim);
   // State: transform-space rows with explicit global ids. Only tombstones
   // that mask main rows are persisted (a transient merge-frozen extra means
@@ -710,24 +707,29 @@ void MutableIndex::save(std::ostream& os) const {
   io::write_vec(os, s.delta->ids);
   io::write_matrix(os, s.delta->rows);
   io::write_vec(os, dead);
+  // The built main structure in the raw backend's own format (absent when
+  // the main set is empty), so a load reads it instead of rebuilding.
+  if (s.main->inner != nullptr) s.main->inner->save(os);
 }
 
 std::unique_ptr<Index> MutableIndex::load(std::istream& is,
                                           const std::string& raw_name,
                                           const Factory& create,
+                                          const Loader& raw_load,
                                           std::uint32_t magic) {
   io::expect_pod(is, magic, "format magic");
   std::uint32_t version = 0;
   io::read_pod(is, version);
   if (version != io::kFormatVersionMutable &&
-      version != io::kFormatVersionMutableStorage)
+      version != io::kFormatVersionMutableStorage &&
+      version != io::kFormatVersionMutableInner)
     corrupt("unknown format version " + std::to_string(version));
   IndexOptions options;
   options.metric = io::read_string(is);
   metric::Kind kind;
   if (!metric::lookup(options.metric, kind))
     corrupt("unknown metric tag '" + options.metric + "'");
-  if (version == io::kFormatVersionMutableStorage) {
+  if (version != io::kFormatVersionMutable) {
     options.storage = io::read_string(is);
     quant::Storage storage{};
     if (!quant::lookup(options.storage, storage))
@@ -737,24 +739,21 @@ std::unique_ptr<Index> MutableIndex::load(std::istream& is,
   io::read_pod(is, p.num_reps);
   io::read_pod(is, p.points_per_rep);
   io::read_pod(is, p.seed);
-  std::uint8_t sampling = 0;
-  io::read_pod(is, sampling);
-  if (sampling > static_cast<std::uint8_t>(Sampling::kBernoulli))
-    corrupt("unknown sampling mode");
-  p.sampling = static_cast<Sampling>(sampling);
-  std::uint8_t flag = 0;
-  io::read_pod(is, flag);
-  p.use_overlap_rule = flag != 0;
-  io::read_pod(is, flag);
-  p.use_lemma_rule = flag != 0;
-  io::read_pod(is, flag);
-  p.use_early_exit = flag != 0;
-  io::read_pod(is, flag);
-  p.use_annulus_bound = flag != 0;
+  p.sampling = io::read_sampling(is, "mutable header");
+  p.use_overlap_rule = io::read_flag(is, "mutable header");
+  p.use_lemma_rule = io::read_flag(is, "mutable header");
+  p.use_early_exit = io::read_flag(is, "mutable header");
+  p.use_annulus_bound = io::read_flag(is, "mutable header");
   io::read_pod(is, p.approx_eps);
   io::read_pod(is, p.num_probes);
   io::read_pod(is, options.leaf_size);
   io::read_pod(is, options.seed);
+  // Versions 3 and 5 predate the persisted mutation knobs; they load with
+  // the IndexOptions defaults.
+  if (version == io::kFormatVersionMutableInner) {
+    io::read_pod(is, options.max_delta);
+    options.background_merge = io::read_flag(is, "mutable header");
+  }
   index_t dim = 0;
   io::read_pod(is, dim);
 
@@ -792,7 +791,17 @@ std::unique_ptr<Index> MutableIndex::load(std::istream& is,
     corrupt(e.what());  // e.g. a metric this backend cannot serve
   }
   std::unique_ptr<Index> inner;
-  if (main_rows.rows() > 0) {
+  if (main_rows.rows() > 0 && version == io::kFormatVersionMutableInner) {
+    inner = raw_load(is);
+    // The saved structure must be the one this header describes: a raw
+    // stream for another main set (or another metric, or storage) would
+    // answer with ids the remap does not cover.
+    const IndexInfo info = inner->info();
+    if (info.backend != raw_name || info.size != main_rows.rows() ||
+        info.dim != dim || info.metric != index->inner_options_.metric ||
+        info.storage != options.storage)
+      corrupt("saved main structure disagrees with the main set");
+  } else if (main_rows.rows() > 0) {
     inner = index->create_(index->inner_options_);
     inner->build(main_rows);  // deterministic: same rows, same knobs, same seed
   }

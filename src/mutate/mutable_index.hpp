@@ -46,10 +46,10 @@ namespace rbc::mutate {
 /// Wraps a raw backend registration with the mutable delta-shard adapter:
 /// `create` builds a MutableIndex around the raw factory (transparent —
 /// info().backend stays the raw name), and `load` dispatches on the format
-/// version: the raw backend's own v1/v2 streams load through the raw
-/// loader (read-only legacy instances), version-3 mutable streams restore
-/// the full delta/tombstone state. The backend TUs in src/api/backends/
-/// call this at registration time.
+/// version: the raw backend's own v1/v2/v4 streams load through the raw
+/// loader (read-only legacy instances), mutable streams (versions 3, 5 and
+/// 7) restore the full delta/tombstone state. The backend TUs in
+/// src/api/backends/ call this at registration time.
 BackendEntry wrap(BackendEntry raw);
 
 /// The delta-shard adapter. Constructed unbuilt (like every backend);
@@ -63,6 +63,7 @@ BackendEntry wrap(BackendEntry raw);
 class MutableIndex final : public Index {
  public:
   using Factory = std::function<std::unique_ptr<Index>(const IndexOptions&)>;
+  using Loader = std::function<std::unique_ptr<Index>(std::istream&)>;
 
   /// `raw_name` / `create` are the wrapped backend's registry identity;
   /// `magic` its serialization magic (0 = raw backend not serializable).
@@ -86,11 +87,15 @@ class MutableIndex final : public Index {
   void save(std::ostream& os) const override;
   IndexInfo info() const override;
 
-  /// Restores a version-3 stream written by save(). The stream must start
-  /// at the magic. Corruption throws std::runtime_error.
+  /// Restores a mutable stream. The stream must start at the magic.
+  /// Version 7 (what save() writes) reads the main structure back with
+  /// `raw_load`, the raw backend's loader; versions 3 and 5 carry no
+  /// structure, so their main set is rebuilt with `create`. Corruption
+  /// throws std::runtime_error.
   static std::unique_ptr<Index> load(std::istream& is,
                                      const std::string& raw_name,
                                      const Factory& create,
+                                     const Loader& raw_load,
                                      std::uint32_t magic);
 
  private:

@@ -948,7 +948,7 @@ class RbcExactIndex {
     io::write_string(os, M::name());
     io::write_pod(os, n_);
     io::write_pod(os, dim_);
-    io::write_pod(os, params_);
+    io::write_params(os, params_);
     io::write_vec(os, rep_ids_);
     io::write_vec(os, psi_);
     io::write_vec(os, offsets_);
@@ -975,7 +975,7 @@ class RbcExactIndex {
     io::expect_string(is, M::name(), "RbcExactIndex metric");
     io::read_pod(is, idx.n_);
     io::read_pod(is, idx.dim_);
-    io::read_pod(is, idx.params_);
+    idx.params_ = io::read_params(is, "RbcExactIndex params");
     io::read_vec(is, idx.rep_ids_);
     io::read_vec(is, idx.psi_);
     io::read_vec(is, idx.offsets_);
@@ -999,12 +999,72 @@ class RbcExactIndex {
     io::read_pod(is, lists);
     idx.overflow_of_rep_.resize(lists);
     for (auto& list : idx.overflow_of_rep_) io::read_vec(is, list);
+    idx.check_loaded();
     return idx;
   }
 
  private:
   const float* overflow_row(std::size_t ov) const {
     return overflow_data_.data() + ov * reps_.stride();
+  }
+
+  /// Checks everything search indexes with on a deserialized structure, so
+  /// a corrupt file throws here instead of reading out of bounds later:
+  /// array shapes against (nr, n, dim), the CSR offsets, every stored id,
+  /// the per-list distance order, and the list radii.
+  void check_loaded() const {
+    auto corrupt = [](const std::string& what) {
+      throw std::runtime_error("rbc::io: corrupt RbcExactIndex stream (" +
+                               what + ")");
+    };
+    const std::size_t n = n_;
+    const std::size_t nr = rep_ids_.size();
+    if (reps_.rows() != nr || (nr > 0 && reps_.cols() != dim_))
+      corrupt("representative matrix shape disagrees with the rep count");
+    if (packed_.rows() != n || (n > 0 && packed_.cols() != dim_))
+      corrupt("packed row matrix shape disagrees with n and dim");
+    if (psi_.size() != nr || offsets_.size() != nr + 1)
+      corrupt("radius/offset counts disagree with the rep count");
+    if (packed_ids_.size() != n || packed_dist_.size() != n)
+      corrupt("packed id/distance counts disagree with n");
+    if (offsets_.front() != 0 || offsets_.back() != n)
+      corrupt("CSR offsets do not span [0, n]");
+    for (std::size_t r = 0; r < nr; ++r)
+      if (offsets_[r + 1] < offsets_[r]) corrupt("CSR offsets decrease");
+    if (next_id_ < n_ || erased_.size() != next_id_)
+      corrupt("id space disagrees with the tombstone table");
+    const auto erased = std::count_if(erased_.begin(), erased_.end(),
+                                      [](std::uint8_t e) { return e != 0; });
+    if (static_cast<std::size_t>(erased) != erased_count_)
+      corrupt("tombstone count disagrees");
+    for (const index_t id : rep_ids_)
+      if (id >= n_) corrupt("representative id out of range");
+    for (const index_t id : packed_ids_)
+      if (id >= n_) corrupt("packed id out of range");
+    const std::size_t overflow = overflow_ids_.size();
+    if (overflow_dist_.size() != overflow ||
+        overflow_data_.size() != overflow * reps_.stride() ||
+        overflow_of_rep_.size() != nr)
+      corrupt("overflow table sizes disagree");
+    for (const index_t id : overflow_ids_)
+      if (id < n_ || id >= next_id_) corrupt("overflow id out of range");
+    for (std::size_t r = 0; r < nr; ++r) {
+      for (index_t p = offsets_[r] + 1; p < offsets_[r + 1]; ++p)
+        if (!(packed_dist_[p] >= packed_dist_[p - 1]))
+          corrupt("list distances are not ascending");
+      // psi_r is the list's last distance, raised by inserts to the
+      // farthest overflow member; it is copied, never recomputed, so the
+      // comparison is exact.
+      dist_t radius = offsets_[r + 1] > offsets_[r]
+                          ? packed_dist_[offsets_[r + 1] - 1]
+                          : dist_t{0};
+      for (const index_t ov : overflow_of_rep_[r]) {
+        if (ov >= overflow) corrupt("overflow row index out of range");
+        radius = std::max(radius, overflow_dist_[ov]);
+      }
+      if (!(psi_[r] == radius))
+        corrupt("list radius disagrees with the list's last distance");
+    }
   }
 
   M metric_{};

@@ -281,7 +281,7 @@ class RbcOneShotIndex {
     io::write_pod(os, n_);
     io::write_pod(os, dim_);
     io::write_pod(os, s_);
-    io::write_pod(os, params_);
+    io::write_params(os, params_);
     io::write_vec(os, rep_ids_);
     io::write_vec(os, psi_);
     io::write_vec(os, packed_ids_);
@@ -299,17 +299,52 @@ class RbcOneShotIndex {
     io::read_pod(is, idx.n_);
     io::read_pod(is, idx.dim_);
     io::read_pod(is, idx.s_);
-    io::read_pod(is, idx.params_);
+    idx.params_ = io::read_params(is, "RbcOneShotIndex params");
     io::read_vec(is, idx.rep_ids_);
     io::read_vec(is, idx.psi_);
     io::read_vec(is, idx.packed_ids_);
     io::read_vec(is, idx.packed_dist_);
     idx.reps_ = io::read_matrix(is);
     idx.packed_ = io::read_matrix(is);
+    idx.check_loaded();
     return idx;
   }
 
  private:
+  /// Checks everything search indexes with on a deserialized structure
+  /// (array shapes against nr, s, n and dim; stored ids; per-list distance
+  /// order; list radii), so a corrupt file throws here instead of reading
+  /// out of bounds during a search.
+  void check_loaded() const {
+    auto corrupt = [](const std::string& what) {
+      throw std::runtime_error("rbc::io: corrupt RbcOneShotIndex stream (" +
+                               what + ")");
+    };
+    const std::size_t nr = rep_ids_.size();
+    const std::size_t s = s_;
+    if (s > n_ || (n_ > 0 && s == 0))
+      corrupt("list length outside [1, n]");
+    if (reps_.rows() != nr || (nr > 0 && reps_.cols() != dim_))
+      corrupt("representative matrix shape disagrees with the rep count");
+    if (psi_.size() != nr || packed_ids_.size() != nr * s ||
+        packed_dist_.size() != nr * s ||
+        static_cast<std::size_t>(packed_.rows()) != nr * s ||
+        (nr * s > 0 && packed_.cols() != dim_))
+      corrupt("packed list shapes disagree with nr * s");
+    for (const index_t id : rep_ids_)
+      if (id >= n_) corrupt("representative id out of range");
+    for (const index_t id : packed_ids_)
+      if (id >= n_) corrupt("packed id out of range");
+    for (std::size_t r = 0; r < nr; ++r) {
+      const dist_t* d = packed_dist_.data() + r * s;
+      for (std::size_t j = 1; j < s; ++j)
+        if (!(d[j] >= d[j - 1])) corrupt("list distances are not ascending");
+      // Bitwise: psi_r is copied from the list's last distance.
+      if (s > 0 && !(psi_[r] == d[s - 1]))
+        corrupt("list radius disagrees with the list's last distance");
+    }
+  }
+
   M metric_{};
   RbcParams params_{};
   index_t n_ = 0;

@@ -6,16 +6,20 @@
 // README.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/matrix.hpp"
 #include "common/types.hpp"
 #include "distance/quantized.hpp"
+#include "rbc/params.hpp"
 
 namespace rbc::io {
 
@@ -57,6 +61,13 @@ inline constexpr std::uint32_t kFormatVersionMutableStorage = 5;
 /// structures are rebuilt deterministically from the params on load.
 inline constexpr std::uint32_t kMagicPayload = 0x52424350;  // "RBCP"
 inline constexpr std::uint32_t kFormatVersionPayload = 6;
+/// Format version 7: the mutable-index format that persists the built
+/// structure. The version-5 header fields (storage tag always present) plus
+/// the mutation knobs (max_delta, background_merge), the main/delta/
+/// tombstone state, and then the raw backend's own save() stream for the
+/// main structure, which the loader reads back instead of rebuilding.
+/// Versions 3 and 5 still load, through the rebuild path.
+inline constexpr std::uint32_t kFormatVersionMutableInner = 7;
 
 /// Bytes between the current read position and the end of the stream, or
 /// -1 when the stream is not seekable. Loaders use this to reject a
@@ -129,6 +140,89 @@ inline void expect_string(std::istream& is, const std::string& expected,
                           const char* what) {
   if (read_string(is) != expected)
     throw std::runtime_error(std::string("rbc::io: mismatch reading ") + what);
+}
+
+/// A stored boolean byte; anything other than 0 or 1 is corruption (and
+/// copying it into a bool would be undefined behaviour).
+inline bool decode_flag(std::uint8_t byte, const char* what) {
+  if (byte > 1)
+    throw std::runtime_error(std::string("rbc::io: corrupt flag byte ") +
+                             std::to_string(byte) + " reading " + what);
+  return byte == 1;
+}
+
+/// A stored Sampling byte; a value no enumerator has is corruption.
+inline Sampling decode_sampling(std::uint8_t byte, const char* what) {
+  if (byte > static_cast<std::uint8_t>(Sampling::kBernoulli))
+    throw std::runtime_error("rbc::io: unknown sampling mode " +
+                             std::to_string(byte) + " reading " + what);
+  return static_cast<Sampling>(byte);
+}
+
+inline bool read_flag(std::istream& is, const char* what) {
+  std::uint8_t byte = 0;
+  read_pod(is, byte);
+  return decode_flag(byte, what);
+}
+
+inline Sampling read_sampling(std::istream& is, const char* what) {
+  std::uint8_t byte = 0;
+  read_pod(is, byte);
+  return decode_sampling(byte, what);
+}
+
+/// The raw RBC streams store RbcParams in the struct's in-memory layout
+/// (sizeof(RbcParams) bytes). These helpers keep that layout, so every
+/// existing file still loads, but move each field on its own: padding is
+/// written as zeros, and a bool or Sampling byte that no real value has is
+/// rejected instead of being copied into the struct.
+static_assert(std::is_standard_layout_v<RbcParams> && sizeof(bool) == 1);
+
+inline void write_params(std::ostream& os, const RbcParams& p) {
+  char raw[sizeof(RbcParams)] = {};
+  auto put = [&raw](std::size_t offset, const auto& value) {
+    std::memcpy(raw + offset, &value, sizeof value);
+  };
+  put(offsetof(RbcParams, num_reps), p.num_reps);
+  put(offsetof(RbcParams, points_per_rep), p.points_per_rep);
+  put(offsetof(RbcParams, seed), p.seed);
+  put(offsetof(RbcParams, sampling), static_cast<std::uint8_t>(p.sampling));
+  put(offsetof(RbcParams, use_overlap_rule),
+      static_cast<std::uint8_t>(p.use_overlap_rule));
+  put(offsetof(RbcParams, use_lemma_rule),
+      static_cast<std::uint8_t>(p.use_lemma_rule));
+  put(offsetof(RbcParams, use_early_exit),
+      static_cast<std::uint8_t>(p.use_early_exit));
+  put(offsetof(RbcParams, use_annulus_bound),
+      static_cast<std::uint8_t>(p.use_annulus_bound));
+  put(offsetof(RbcParams, approx_eps), p.approx_eps);
+  put(offsetof(RbcParams, num_probes), p.num_probes);
+  os.write(raw, sizeof raw);
+}
+
+inline RbcParams read_params(std::istream& is, const char* what) {
+  char raw[sizeof(RbcParams)];
+  is.read(raw, sizeof raw);
+  if (!is) throw std::runtime_error("rbc::io: truncated stream");
+  auto get = [&raw](std::size_t offset, auto& value) {
+    std::memcpy(&value, raw + offset, sizeof value);
+  };
+  auto flag = [&](std::size_t offset) {
+    return decode_flag(static_cast<std::uint8_t>(raw[offset]), what);
+  };
+  RbcParams p;
+  get(offsetof(RbcParams, num_reps), p.num_reps);
+  get(offsetof(RbcParams, points_per_rep), p.points_per_rep);
+  get(offsetof(RbcParams, seed), p.seed);
+  p.sampling = decode_sampling(
+      static_cast<std::uint8_t>(raw[offsetof(RbcParams, sampling)]), what);
+  p.use_overlap_rule = flag(offsetof(RbcParams, use_overlap_rule));
+  p.use_lemma_rule = flag(offsetof(RbcParams, use_lemma_rule));
+  p.use_early_exit = flag(offsetof(RbcParams, use_early_exit));
+  p.use_annulus_bound = flag(offsetof(RbcParams, use_annulus_bound));
+  get(offsetof(RbcParams, approx_eps), p.approx_eps);
+  get(offsetof(RbcParams, num_probes), p.num_probes);
+  return p;
 }
 
 /// Writes the version-2 header tail (version + metric tag). Call right

@@ -5,15 +5,20 @@
 // composite, whose loader recurses through load_index per shard).
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/api.hpp"
+#include "common/counters.hpp"
 #include "metricspace/dataset.hpp"
 #include "rbc/rbc_exact.hpp"
+#include "rbc/rbc_oneshot.hpp"
 #include "rbc/serialize_io.hpp"
 #include "test_util.hpp"
 
@@ -38,9 +43,19 @@ TEST(CorruptFiles, TruncationAtEveryRegionThrowsCleanly) {
     // Cut inside the magic, the header, and the payload, plus one byte
     // short of complete — each must throw std::runtime_error (and only
     // that), leaving no UB for the driver to hit.
-    for (const std::size_t cut :
-         {std::size_t{0}, std::size_t{2}, std::size_t{7}, bytes.size() / 3,
-          bytes.size() / 2, bytes.size() - 1}) {
+    std::vector<std::size_t> cuts{std::size_t{0},   std::size_t{2},
+                                  std::size_t{7},   bytes.size() / 3,
+                                  bytes.size() / 2, bytes.size() * 5 / 6,
+                                  bytes.size() - 1};
+    // Version-7 streams end with the raw backend's own stream for the
+    // saved structure, which leads with the same magic: cut at its start,
+    // inside its header, and halfway through it.
+    const std::size_t inner = bytes.find(bytes.substr(0, 4), 8);
+    if (inner != std::string::npos)
+      for (const std::size_t at :
+           {inner, inner + 4, inner + 9, inner + (bytes.size() - inner) / 2})
+        cuts.push_back(at);
+    for (const std::size_t cut : cuts) {
       SCOPED_TRACE(backend + " truncated to " + std::to_string(cut) +
                    " of " + std::to_string(bytes.size()) + " bytes");
       std::stringstream stream(bytes.substr(0, cut));
@@ -435,6 +450,248 @@ TEST(CorruptFiles, LegacyVersion1FilesLoadAsL2) {
   }
 }
 
+// --------------------------------------- mutable v3/v5 legacy fixtures --
+// Versions 3 and 5 of the mutable format carry rows, not structure; they
+// still load, by rebuilding the main structure from the saved rows.
+
+/// A hand-written rbc-exact version-3 (storage "float32") or version-5
+/// mutable stream: header, build knobs, main set, delta shard, tombstones.
+std::string legacy_mutable_bytes(const std::string& storage,
+                                 const IndexOptions& options,
+                                 const Matrix<float>& main_rows,
+                                 const std::vector<index_t>& delta_ids,
+                                 const Matrix<float>& delta_rows,
+                                 const std::vector<index_t>& tombs) {
+  std::stringstream stream;
+  io::write_pod(stream, io::kMagicExact);
+  if (storage == "float32") {
+    io::write_pod(stream, io::kFormatVersionMutable);
+    io::write_string(stream, options.metric);
+  } else {
+    io::write_pod(stream, io::kFormatVersionMutableStorage);
+    io::write_string(stream, options.metric);
+    io::write_string(stream, storage);
+  }
+  const RbcParams& p = options.rbc;
+  io::write_pod(stream, p.num_reps);
+  io::write_pod(stream, p.points_per_rep);
+  io::write_pod(stream, p.seed);
+  io::write_pod(stream, static_cast<std::uint8_t>(p.sampling));
+  io::write_pod(stream, static_cast<std::uint8_t>(p.use_overlap_rule));
+  io::write_pod(stream, static_cast<std::uint8_t>(p.use_lemma_rule));
+  io::write_pod(stream, static_cast<std::uint8_t>(p.use_early_exit));
+  io::write_pod(stream, static_cast<std::uint8_t>(p.use_annulus_bound));
+  io::write_pod(stream, p.approx_eps);
+  io::write_pod(stream, p.num_probes);
+  io::write_pod(stream, options.leaf_size);
+  io::write_pod(stream, options.seed);
+  io::write_pod(stream, main_rows.cols());
+  std::vector<index_t> main_ids(main_rows.rows());
+  for (index_t i = 0; i < main_rows.rows(); ++i) main_ids[i] = i;
+  io::write_vec(stream, main_ids);
+  io::write_matrix(stream, main_rows);
+  io::write_vec(stream, delta_ids);
+  io::write_matrix(stream, delta_rows);
+  io::write_vec(stream, tombs);
+  return stream.str();
+}
+
+TEST(CorruptFiles, MutableVersion3And5StreamsStillLoadByRebuilding) {
+  const Matrix<float> X = testutil::clustered_matrix(90, 6, 4, 80);
+  const Matrix<float> extra = testutil::random_matrix(2, 6, 81);
+  const Matrix<float> Q = testutil::random_matrix(5, 6, 82);
+  const std::vector<index_t> extra_ids{200, 201};
+  const std::vector<index_t> tombs{4, 40};
+  for (const std::string storage : {"float32", "int8"}) {
+    SCOPED_TRACE(storage);
+    IndexOptions options{.rbc = {.seed = 83}};
+    options.storage = storage;
+    options.background_merge = false;
+    // The same logical index, built and mutated through the API.
+    auto expected = make_index("rbc-exact", options);
+    expected->build(X);
+    expected->insert(extra, extra_ids);
+    ASSERT_EQ(expected->remove(tombs), 2u);
+
+    std::stringstream stream(
+        legacy_mutable_bytes(storage, options, X, extra_ids, extra, tombs));
+    const counters::Scope scope;
+    const auto restored = load_index(stream);
+    // No structure in the file: the load rebuilt it from the rows.
+    EXPECT_GT(scope.delta(), 0u);
+    EXPECT_EQ(restored->info().backend, "rbc-exact");
+    EXPECT_EQ(restored->info().storage, storage);
+    EXPECT_EQ(restored->info().delta_rows, 2u);
+    EXPECT_EQ(restored->info().tombstones, 2u);
+    EXPECT_EQ(restored->live_ids(), expected->live_ids());
+    EXPECT_TRUE(testutil::knn_equal(
+        expected->knn_search({.queries = &Q, .k = 4}).knn,
+        restored->knn_search({.queries = &Q, .k = 4}).knn));
+  }
+}
+
+// -------------------------------------- loaded RBC structure validation --
+// A load trusts the saved structure instead of rebuilding it, so the raw
+// RBC loaders check every field a search indexes with. Each fixture below
+// patches one field of a real saved stream; the load must throw
+// std::runtime_error (and stay clean under ASan/UBSan).
+
+/// Loads `bytes` and expects a std::runtime_error whose message names
+/// `reason` (so the fixture failed the check it targets, not another one).
+void expect_rejected(const std::string& bytes, const std::string& reason) {
+  std::stringstream stream(bytes);
+  try {
+    (void)load_index(stream);
+    ADD_FAILURE() << "expected std::runtime_error naming '" << reason << "'";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+        << e.what();
+  }
+}
+
+template <class T>
+std::string patched(std::string bytes, std::size_t at, T value) {
+  std::memcpy(bytes.data() + at, &value, sizeof value);
+  return bytes;
+}
+
+/// Field offsets of a concrete RbcExactIndex<Euclidean> stream starting at
+/// `base` (layout of RbcExactIndex::save).
+struct ExactLayout {
+  ExactLayout(std::size_t base, index_t nr) {
+    params = base + 4 + 4 + 8 + std::strlen(Euclidean::name()) + 4 + 4;
+    psi = params + sizeof(RbcParams) + 8 + 4 * std::size_t{nr};
+    offsets = psi + 8 + 4 * std::size_t{nr};
+    packed_ids = offsets + 8 + 4 * (std::size_t{nr} + 1);
+  }
+  std::size_t params, psi, offsets, packed_ids;
+};
+
+/// The corruptions every exact-structure stream must reject, each paired
+/// with the words its error names.
+std::vector<std::pair<std::string, std::string>> corrupt_exact_fixtures(
+    const std::string& bytes, std::size_t base, index_t nr, index_t n) {
+  const ExactLayout at(base, nr);
+  std::vector<std::pair<std::string, std::string>> fixtures;
+  fixtures.emplace_back("CSR offsets",
+                        patched(bytes, at.offsets + 8 + 4 * 3, n + 7));
+  fixtures.emplace_back("packed id out of range",
+                        patched(bytes, at.packed_ids + 8, n));
+  fixtures.emplace_back(
+      "flag byte 2",
+      patched(bytes, at.params + offsetof(RbcParams, use_early_exit),
+              std::uint8_t{2}));
+  fixtures.emplace_back(
+      "sampling mode 7",
+      patched(bytes, at.params + offsetof(RbcParams, sampling),
+              std::uint8_t{7}));
+  float psi0 = 0.0f;
+  std::memcpy(&psi0, bytes.data() + at.psi + 8, sizeof psi0);
+  fixtures.emplace_back("list radius",
+                        patched(bytes, at.psi + 8, psi0 + 1.0f));
+  // One offset too many: a well-formed vector whose count disagrees with
+  // the representative count (the rest of the stream is unchanged).
+  std::vector<index_t> offsets(std::size_t{nr} + 1);
+  std::memcpy(offsets.data(), bytes.data() + at.offsets + 8,
+              offsets.size() * sizeof(index_t));
+  offsets.push_back(n);
+  std::stringstream longer;
+  io::write_vec(longer, offsets);
+  fixtures.emplace_back("offset counts disagree",
+                        bytes.substr(0, at.offsets) + longer.str() +
+                            bytes.substr(at.packed_ids));
+  return fixtures;
+}
+
+TEST(CorruptFiles, CorruptRawExactStructureIsRejected) {
+  const Matrix<float> X = testutil::clustered_matrix(60, 5, 3, 84);
+  RbcExactIndex<Euclidean> concrete;
+  concrete.build(X, {.num_reps = 8, .seed = 85});
+  std::stringstream saved;
+  concrete.save(saved);
+  const std::string bytes = saved.str();
+  {
+    std::stringstream intact(bytes);
+    EXPECT_NO_THROW((void)load_index(intact));
+  }
+  for (const auto& [reason, corrupt] :
+       corrupt_exact_fixtures(bytes, 0, concrete.num_reps(), X.rows()))
+    expect_rejected(corrupt, reason);
+}
+
+TEST(CorruptFiles, CorruptExactStructureInsideAVersion7StreamIsRejected) {
+  const Matrix<float> X = testutil::clustered_matrix(60, 5, 3, 86);
+  auto index = make_index("rbc-exact", {.rbc = {.num_reps = 8, .seed = 87}});
+  index->build(X);
+  std::stringstream saved;
+  index->save(saved);
+  const std::string bytes = saved.str();
+  // The concrete stream inside: the exact magic followed by its own
+  // version 1 (the mutable header carries 7, the backend header 2).
+  std::string concrete_head(8, '\0');
+  std::memcpy(concrete_head.data(), &io::kMagicExact, 4);
+  std::memcpy(concrete_head.data() + 4, &io::kFormatVersion, 4);
+  const std::size_t base = bytes.find(concrete_head);
+  ASSERT_NE(base, std::string::npos);
+  for (const auto& [reason, corrupt] :
+       corrupt_exact_fixtures(bytes, base, 8, X.rows()))
+    expect_rejected(corrupt, reason);
+}
+
+TEST(CorruptFiles, CorruptRawOneShotStructureIsRejected) {
+  const Matrix<float> X = testutil::clustered_matrix(60, 5, 3, 88);
+  RbcOneShotIndex<Euclidean> concrete;
+  concrete.build(X, {.num_reps = 6, .points_per_rep = 10, .seed = 89});
+  std::stringstream saved;
+  concrete.save(saved);
+  const std::string bytes = saved.str();
+  {
+    std::stringstream intact(bytes);
+    EXPECT_NO_THROW((void)load_index(intact));
+  }
+  // Layout of RbcOneShotIndex::save: magic, version, metric name, n, dim,
+  // s, params, rep ids, radii, packed ids, ...
+  const std::size_t nr = concrete.num_reps();
+  const std::size_t params =
+      4 + 4 + 8 + std::strlen(Euclidean::name()) + 4 + 4 + 4;
+  const std::size_t psi = params + sizeof(RbcParams) + 8 + 4 * nr;
+  const std::size_t packed_ids = psi + 8 + 4 * nr;
+  float psi0 = 0.0f;
+  std::memcpy(&psi0, bytes.data() + psi + 8, sizeof psi0);
+  const std::vector<std::pair<std::string, std::string>> fixtures{
+      {"packed id out of range", patched(bytes, packed_ids + 8, X.rows())},
+      {"flag byte 2",
+       patched(bytes, params + offsetof(RbcParams, use_overlap_rule),
+               std::uint8_t{2})},
+      {"list radius", patched(bytes, psi + 8, psi0 * 0.5f)},
+  };
+  for (const auto& [reason, corrupt] : fixtures)
+    expect_rejected(corrupt, reason);
+}
+
+TEST(CorruptFiles, Version7StreamWhoseStructureDisagreesIsRejected) {
+  // The saved structure must describe the main set in the header: splice
+  // the raw stream of a different-sized index after a valid main section.
+  const Matrix<float> X = testutil::clustered_matrix(60, 5, 3, 90);
+  auto index = make_index("bruteforce");
+  index->build(X);
+  std::stringstream saved;
+  index->save(saved);
+  const std::string bytes = saved.str();
+  const std::size_t inner = bytes.find(bytes.substr(0, 4), 8);
+  ASSERT_NE(inner, std::string::npos);
+  auto other = make_index("bruteforce");
+  other->build(testutil::clustered_matrix(59, 5, 3, 91));
+  std::stringstream other_saved;
+  other->save(other_saved);
+  const std::string other_bytes = other_saved.str();
+  const std::size_t other_inner =
+      other_bytes.find(other_bytes.substr(0, 4), 8);
+  ASSERT_NE(other_inner, std::string::npos);
+  expect_rejected(bytes.substr(0, inner) + other_bytes.substr(other_inner),
+                  "disagrees with the main set");
+}
+
 // ------------------------------------------ payload (v6) corrupt fixtures --
 // The generic metric-space format: kMagicPayload, version 6, host backend
 // tag, metric-space tag, RbcParams, then the serialized dataset (kind tag +
@@ -564,6 +821,16 @@ TEST(CorruptFiles, PayloadStreamWithBadTagsIsRejected) {
     write_payload_header(stream, "bruteforce", "edit");
     io::write_string(stream, "blobs");
     EXPECT_THROW((void)load_index(stream), std::runtime_error);
+  }
+  // A params bool byte of 2 is corruption, not a value copied into a bool.
+  {
+    const std::string bytes = saved_payload_bytes("rbc-exact");
+    const std::size_t params = 4 + 4 + 8 + std::strlen("rbc-exact") + 8 +
+                               std::strlen("edit");
+    expect_rejected(
+        patched(bytes, params + offsetof(RbcParams, use_lemma_rule),
+                std::uint8_t{2}),
+        "flag byte 2");
   }
   // A future payload version is rejected, not misparsed.
   {

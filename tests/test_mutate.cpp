@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "api/api.hpp"
+#include "common/counters.hpp"
 #include "serve/service.hpp"
 #include "test_util.hpp"
 
@@ -206,6 +208,51 @@ TEST(ShardedMutation, MutatedShardedSaveReloadsIdNative) {
   const std::vector<index_t> again{100};
   EXPECT_EQ(restored->remove(again), 1u);
   EXPECT_EQ(restored->info().size, index->info().size - 1);
+}
+
+TEST(MutableIndex, ReloadKeepsTheMergeThreshold) {
+  // The saved header carries max_delta and background_merge: a reloaded
+  // index merges at the threshold it was built with, not at the default.
+  const Matrix<float> pool = testutil::clustered_matrix(120, 6, 4, 313);
+  auto index = make_index("rbc-exact", inline_merge_options(64));
+  index->build(rows_of(pool, 0, 40));
+  std::stringstream stream;
+  index->save(stream);
+  const auto restored = load_index(stream);
+
+  std::vector<index_t> ids(63);
+  std::iota(ids.begin(), ids.end(), index_t{40});
+  restored->insert(rows_of(pool, 40, 63), ids);
+  EXPECT_EQ(restored->info().delta_rows, 63u);
+  // The 64th buffered row reaches the threshold. The merge runs inline
+  // (background_merge = false was restored too), so the delta is empty
+  // when insert() returns.
+  const std::vector<index_t> last{103};
+  restored->insert(rows_of(pool, 103, 1), last);
+  EXPECT_EQ(restored->info().delta_rows, 0u);
+  EXPECT_EQ(restored->info().size, 104u);
+}
+
+TEST(MutableIndex, LoadReadsTheSavedStructureWithoutBuilding) {
+  // A load reads the saved structure back instead of rebuilding it, so it
+  // evaluates no distance at all (a rebuild of rbc-exact costs n * nr).
+  const Matrix<float> X = testutil::clustered_matrix(300, 8, 5, 314);
+  const Matrix<float> Q = testutil::random_matrix(6, 8, 315);
+  for (const std::string backend :
+       {"rbc-exact", "rbc-oneshot", "sharded:rbc-exact"}) {
+    SCOPED_TRACE(backend);
+    auto index =
+        make_index(backend, {.rbc = {.seed = 316}, .num_shards = 3});
+    index->build(X);
+    std::stringstream stream;
+    index->save(stream);
+    const counters::Scope scope;
+    const auto restored = load_index(stream);
+    EXPECT_EQ(scope.delta(), 0u);
+    EXPECT_TRUE(testutil::knn_equal(
+        index->knn_search({.queries = &Q, .k = 5}).knn,
+        restored->knn_search({.queries = &Q, .k = 5}).knn));
+  }
 }
 
 TEST(ServiceMutation, InsertRemoveFlowThroughTheService) {
